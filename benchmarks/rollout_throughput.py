@@ -10,13 +10,6 @@ rollouts) at K in {1, 4, 8} replicas:
   and the per-sample processing rate, sequential ``update_ugv``/
   ``update_uav`` vs ``update_ugv_vec``/``update_uav_vec``.
 
-``--workers W [W ...]`` adds the multi-process axis: the same vectorized
-rollout with the replicas sharded over W ``repro.env.workers`` processes
-(workers=1 is always measured as the scaling baseline).  Each row
-records the host's usable core count — worker scaling is meaningless on
-a single core, so the ``--quick`` scaling gate (workers=2 must reach
-1.3x workers=1) only arms when at least two cores are available.
-
 Results land in ``BENCH_vecrollout.json`` at the repo root:
 
     PYTHONPATH=src python benchmarks/rollout_throughput.py
@@ -31,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,7 +34,6 @@ from repro.core.garl import GARLAgent
 from repro.core.ippo import run_episode, run_vec_episodes
 from repro.core.buffer import VecUAVRollout, VecUGVRollout
 from repro.env.vector import VecAirGroundEnv
-from repro.env.workers import WorkerVecEnv
 from repro.experiments import get_preset
 from repro.experiments.runner import build_env
 
@@ -78,30 +69,6 @@ def bench_vec_rollout(num_envs: int, reps: int) -> float:
     for _ in range(reps):
         run_vec_episodes(venv, agent.ugv_policy, agent.uav_policy, rng)
     dt = time.perf_counter() - t0
-    return reps * num_envs * env.config.episode_len / dt
-
-
-def _usable_cpus() -> int:
-    """Cores this process may run on (affinity-aware where supported)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def bench_worker_rollout(num_envs: int, num_workers: int, reps: int) -> float:
-    """Steps/s with replicas sharded over ``num_workers`` processes."""
-    env, agent = _make_agent()
-    venv = WorkerVecEnv(env, num_envs, num_workers)
-    try:
-        rng = np.random.default_rng(0)
-        run_vec_episodes(venv, agent.ugv_policy, agent.uav_policy, rng)  # warmup
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            run_vec_episodes(venv, agent.ugv_policy, agent.uav_policy, rng)
-        dt = time.perf_counter() - t0
-    finally:
-        venv.close()
     return reps * num_envs * env.config.episode_len / dt
 
 
@@ -149,13 +116,6 @@ def main(argv: list[str] | None = None) -> int:
                              "slower than sequential")
     parser.add_argument("--write", action="store_true",
                         help="write BENCH_vecrollout.json even with --quick")
-    parser.add_argument("--workers", type=int, nargs="+", default=None,
-                        metavar="W",
-                        help="also bench the multi-process worker pool at "
-                             "these worker counts (workers=1 is always "
-                             "added as the scaling baseline); with --quick, "
-                             "gate workers=2 >= 1.3x workers=1 when the "
-                             "host has >= 2 cores")
     args = parser.parse_args(argv)
 
     reps = 1 if args.quick else 3
@@ -168,20 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         vec_sps[k] = bench_vec_rollout(k, reps)
         print(f"vec rollout K={k}:   {vec_sps[k]:8.1f} steps/s "
               f"({vec_sps[k] / seq_sps:.2f}x)")
-
-    worker_sps: dict[int, float] = {}
-    cpus = _usable_cpus()
-    if args.workers:
-        pool_k = max(ks)
-        worker_counts = sorted({1, *args.workers})
-        if max(worker_counts) > pool_k:
-            parser.error(f"--workers values must be <= K={pool_k} "
-                         f"(each worker needs at least one replica)")
-        for w in worker_counts:
-            worker_sps[w] = bench_worker_rollout(pool_k, w, reps)
-            print(f"workers={w} K={pool_k}:  {worker_sps[w]:8.1f} steps/s "
-                  f"({worker_sps[w] / worker_sps[1]:.2f}x vs workers=1, "
-                  f"{cpus} core(s))")
 
     seq_upd = bench_sequential_update()
     vec_upd = bench_vec_update(max(ks))
@@ -205,17 +151,6 @@ def main(argv: list[str] | None = None) -> int:
             f"vec_k{max(ks)}": {k: round(v, 1) for k, v in vec_upd.items()},
         },
     }
-    if worker_sps:
-        results["workers"] = {
-            "num_envs": max(ks),
-            "cpus": cpus,
-            "rollout_steps_per_s": {f"w{w}": round(v, 1)
-                                    for w, v in worker_sps.items()},
-            "speedup_vs_w1": {f"w{w}": round(v / worker_sps[1], 2)
-                              for w, v in worker_sps.items()},
-            "speedup_vs_sequential": {f"w{w}": round(v / seq_sps, 2)
-                                      for w, v in worker_sps.items()},
-        }
     if not args.quick or args.write:
         out = REPO_ROOT / "BENCH_vecrollout.json"
         out.write_text(json.dumps(results, indent=2) + "\n")
@@ -225,15 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: vec K=4 rollout ({vec_sps[4]:.1f} steps/s) slower than "
               f"sequential ({seq_sps:.1f} steps/s)")
         return 1
-    if args.quick and 2 in worker_sps:
-        if cpus < 2:
-            print(f"SKIP workers scaling gate: only {cpus} usable core(s); "
-                  f"multi-process scaling is unmeasurable on this host")
-        elif worker_sps[2] < 1.3 * worker_sps[1]:
-            print(f"FAIL: workers=2 rollout ({worker_sps[2]:.1f} steps/s) "
-                  f"below 1.3x workers=1 ({worker_sps[1]:.1f} steps/s) "
-                  f"on a {cpus}-core host")
-            return 1
     return 0
 
 

@@ -9,7 +9,7 @@ Three cooperating layers, one CLI (``repro check-determinism``):
 * :mod:`~repro.analysis.determinism.sharedstate` — the **whole-program
   shared-state pass**: call-graph reachability from the train loop down
   to every module global / class attribute written along the way,
-  emitted as a JSON/DOT contract for the multi-process worker pool.
+  emitted as a JSON/DOT inventory of process-wide state.
 * :mod:`~repro.analysis.determinism.bisector` — the **runtime
   divergence bisector**: two same-seed lockstep runs, per-iteration
   state fingerprints, and an op-level tape replay that names the first

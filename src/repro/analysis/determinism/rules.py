@@ -18,12 +18,12 @@ bit-determinism contract (resume ≡ uninterrupted, K=1 ≡ sequential):
 * **DT003** — unordered-iteration hazards: iterating a ``set``,
   ``os.listdir``/``glob`` results used unsorted, and ``id()``-keyed
   dict access (the PR 3 ``(episode, t)`` grouping bug class).
-* **DT004** — fork-unsafety across the multi-process worker pool:
-  module-level mutable state (weakref containers included) mutated from
-  functions, and module-level file handles / rng objects that a forked
-  worker would share.  Globals reset by an ``os.register_at_fork``
-  cleanup hook are exempt — the hook makes the fork boundary safe by
-  construction (see :func:`_fork_guarded_names`).
+* **DT004** — fork-unsafe state: module-level mutable state (weakref
+  containers included) mutated from functions, and module-level file
+  handles / rng objects that a forked process would share.  Globals
+  reset by an ``os.register_at_fork`` cleanup hook are exempt — the
+  hook makes the fork boundary safe by construction (see
+  :func:`_fork_guarded_names`).
 """
 
 from __future__ import annotations

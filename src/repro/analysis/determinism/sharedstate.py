@@ -1,15 +1,11 @@
 """Whole-program shared-mutable-state pass.
 
-Answers one question for the multi-process worker pool
-(:mod:`repro.env.workers`): *which state is shared between what a worker
-executes and the rest of the program?*  Everything in the resulting map
-must be replicated, re-seeded or locked per worker — it is the explicit
-contract the worker pool builds against, and the map now audits both
-sides of the fork boundary: a second reachability sweep from the worker
-entrypoint (``_worker_main``) marks what a worker can write, and
-``os.register_at_fork`` cleanup hooks are recorded as fork guards so the
-dangerous residue — hot, unguarded, fork-crossing state — is a single
-``fork_boundary_sites`` list (empty in a healthy tree).
+Answers one question: *which module-level or class-level state does the
+training loop (or the inference service) write?*  Such state outlives a
+single run inside one process, so a second same-seed run — or a resume —
+can observe the first run's writes.  Every entry in the resulting map is
+an inventoried exception to "state is passed explicitly"; the map is the
+audit trail for each one (the campus cache is the deliberate example).
 
 The pass is a conservative, name-based static analysis over the package
 sources (no imports are executed):
@@ -42,17 +38,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .rules import _MUTABLE_CONSTRUCTORS, _MUTATOR_METHODS, _fork_guarded_names
+from .rules import _MUTABLE_CONSTRUCTORS, _MUTATOR_METHODS
 
 __all__ = ["SharedStateMap", "StateSite", "Writer", "build_shared_state_map",
-           "DEFAULT_ENTRYPOINTS", "WORKER_ENTRYPOINTS"]
+           "DEFAULT_ENTRYPOINTS"]
 
 DEFAULT_ENTRYPOINTS = ("run_training", "run_method", "train", "run_service")
-
-# The rollout-worker process entrypoint (repro.env.workers): a second
-# BFS from here marks which state a *worker* can write, so the map
-# audits both sides of the fork boundary.
-WORKER_ENTRYPOINTS = ("_worker_main",)
 
 
 @dataclass
@@ -62,12 +53,10 @@ class Writer:
     function: str        # qualified, e.g. repro.experiments.runner.get_campus
     site: str            # path:line of the writing statement
     reachable: bool = False  # from the training entrypoints
-    worker_reachable: bool = False  # from the rollout-worker entrypoint
 
     def as_dict(self) -> dict:
         return {"function": self.function, "site": self.site,
-                "reachable": self.reachable,
-                "worker_reachable": self.worker_reachable}
+                "reachable": self.reachable}
 
 
 @dataclass
@@ -80,7 +69,6 @@ class StateSite:
     defined_at: str      # path:line of the definition
     value_type: str      # dict / list / set / rng / file / rebound
     writers: list[Writer] = field(default_factory=list)
-    fork_guarded: bool = False  # reset by an os.register_at_fork hook
 
     @property
     def qualified(self) -> str:
@@ -91,17 +79,10 @@ class StateSite:
         """Written from a function reachable from the train loop."""
         return any(w.reachable for w in self.writers)
 
-    @property
-    def worker_reachable(self) -> bool:
-        """Written from a function a rollout worker can reach."""
-        return any(w.worker_reachable for w in self.writers)
-
     def as_dict(self) -> dict:
         return {"kind": self.kind, "module": self.module, "name": self.name,
                 "defined_at": self.defined_at, "value_type": self.value_type,
                 "hot": self.hot,
-                "worker_reachable": self.worker_reachable,
-                "fork_guarded": self.fork_guarded,
                 "writers": [w.as_dict() for w in self.writers]}
 
 
@@ -113,42 +94,19 @@ class SharedStateMap:
     entrypoints: tuple[str, ...]
     sites: list[StateSite] = field(default_factory=list)
     reachable_functions: list[str] = field(default_factory=list)
-    worker_entrypoints: tuple[str, ...] = WORKER_ENTRYPOINTS
-    worker_reachable_functions: list[str] = field(default_factory=list)
 
     @property
     def hot_sites(self) -> list[StateSite]:
         return [s for s in self.sites if s.hot]
 
-    @property
-    def fork_boundary_sites(self) -> list[StateSite]:
-        """Hot state crossing the fork boundary without an at-fork guard.
-
-        These are the genuinely dangerous sites for the worker pool:
-        mutated on the training path (so the parent's copy has live
-        content at fork time) and not covered by an
-        ``os.register_at_fork`` cleanup hook.  The pool's bootstrap
-        (``reset_worker_process_state``) must clear every one of them.
-        """
-        return [s for s in self.sites if s.hot and not s.fork_guarded]
-
     def to_json(self, indent: int = 2) -> str:
         return json.dumps({
-            "schema": "repro.sharedstate/1",
+            "schema": "repro.sharedstate/2",
             "root": self.root,
             "entrypoints": list(self.entrypoints),
-            "worker_entrypoints": list(self.worker_entrypoints),
             "summary": {"sites": len(self.sites),
                         "hot_sites": len(self.hot_sites),
-                        "fork_guarded_sites": sum(
-                            1 for s in self.sites if s.fork_guarded),
-                        "worker_reachable_sites": sum(
-                            1 for s in self.sites if s.worker_reachable),
-                        "unguarded_fork_boundary_sites": len(
-                            self.fork_boundary_sites),
-                        "reachable_functions": len(self.reachable_functions),
-                        "worker_reachable_functions": len(
-                            self.worker_reachable_functions)},
+                        "reachable_functions": len(self.reachable_functions)},
             "sites": [s.as_dict() for s in sorted(
                 self.sites, key=lambda s: (not s.hot, s.qualified))],
         }, indent=indent, sort_keys=False)
@@ -174,17 +132,13 @@ class SharedStateMap:
     def format_summary(self) -> str:
         hot = self.hot_sites
         out = [f"shared-state map: {len(self.sites)} site(s), "
-               f"{len(hot)} written on the training path, "
-               f"{len(self.fork_boundary_sites)} unguarded at the fork "
-               f"boundary"]
+               f"{len(hot)} written on the training path"]
         for site in sorted(self.sites, key=lambda s: (not s.hot, s.qualified)):
             marker = "HOT " if site.hot else "    "
             writers = ", ".join(sorted({w.function.rsplit('.', 1)[-1]
                                         for w in site.writers})) or "-"
-            flags = "".join([" [fork-guarded]" if site.fork_guarded else "",
-                             " [worker]" if site.worker_reachable else ""])
             out.append(f"  {marker}{site.qualified} ({site.value_type}) "
-                       f"<- {writers}{flags}")
+                       f"<- {writers}")
         return "\n".join(out)
 
 
@@ -245,29 +199,8 @@ def _classify_value(value: ast.AST) -> str | None:
     return None
 
 
-def _reach(by_name: dict[str, list[str]], functions: dict[str, "_FunctionInfo"],
-           entrypoints: tuple[str, ...]) -> set[str]:
-    """BFS over the name-resolved call graph from ``entrypoints``."""
-    work: deque[str] = deque()
-    reachable: set[str] = set()
-    for ep in entrypoints:
-        for qual in by_name.get(ep, []):
-            if qual not in reachable:
-                reachable.add(qual)
-                work.append(qual)
-    while work:
-        qual = work.popleft()
-        for callee_name in functions[qual].calls:
-            for callee in by_name.get(callee_name, []):
-                if callee not in reachable:
-                    reachable.add(callee)
-                    work.append(callee)
-    return reachable
-
-
 def build_shared_state_map(root: str | Path = "src/repro",
                            entrypoints: tuple[str, ...] = DEFAULT_ENTRYPOINTS,
-                           worker_entrypoints: tuple[str, ...] = WORKER_ENTRYPOINTS,
                            ) -> SharedStateMap:
     """Run the whole-program pass over every ``.py`` file under ``root``."""
     root = Path(root)
@@ -291,9 +224,7 @@ def build_shared_state_map(root: str | Path = "src/repro",
     module_bindings: dict[tuple[str, str], str] = {}
 
     # Pass 1: index definitions and module-level state.
-    fork_guarded: dict[str, set[str]] = {}  # module -> guarded global names
     for path, module, tree in trees:
-        fork_guarded[module] = _fork_guarded_names(tree)
         for stmt in tree.body:
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = (stmt.targets if isinstance(stmt, ast.Assign)
@@ -411,19 +342,25 @@ def build_shared_state_map(root: str | Path = "src/repro",
                                for w in written.writers):
                         written.writers.append(writer)
 
-    # Pass 3: reachability — once from the training entrypoints (the
-    # parent/learner side) and once from the worker entrypoint (what a
-    # forked rollout worker can execute).  A site both hot and
-    # worker-reachable is contested across the fork boundary.
-    reachable = _reach(by_name, functions, tuple(entrypoints))
-    worker_reachable = _reach(by_name, functions, tuple(worker_entrypoints))
+    # Pass 3: reachability from the entrypoints.
+    work: deque[str] = deque()
+    reachable: set[str] = set()
+    for ep in entrypoints:
+        for qual in by_name.get(ep, []):
+            if qual not in reachable:
+                reachable.add(qual)
+                work.append(qual)
+    while work:
+        qual = work.popleft()
+        for callee_name in functions[qual].calls:
+            for callee in by_name.get(callee_name, []):
+                if callee not in reachable:
+                    reachable.add(callee)
+                    work.append(callee)
 
     for site in sites.values():
-        site.fork_guarded = (site.kind != "class_attribute"
-                             and site.name in fork_guarded.get(site.module, ()))
         for writer in site.writers:
             writer.reachable = writer.function in reachable
-            writer.worker_reachable = writer.function in worker_reachable
 
     # Only sites with at least one writer are *shared* state; untouched
     # module constants are configuration, not hazards.  rng/file handles
@@ -432,6 +369,4 @@ def build_shared_state_map(root: str | Path = "src/repro",
             if s.writers or s.kind in ("rng", "file_handle")]
     return SharedStateMap(root=str(root), entrypoints=tuple(entrypoints),
                           sites=kept,
-                          reachable_functions=sorted(reachable),
-                          worker_entrypoints=tuple(worker_entrypoints),
-                          worker_reachable_functions=sorted(worker_reachable))
+                          reachable_functions=sorted(reachable))

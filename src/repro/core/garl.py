@@ -54,25 +54,17 @@ class GARLAgent:
     # ------------------------------------------------------------------
     def train(self, iterations: int, episodes_per_iteration: int = 1,
               callback=None, num_envs: int = 1,
-              total_iterations: int | None = None,
-              num_workers: int = 1) -> list[TrainRecord]:
+              total_iterations: int | None = None) -> list[TrainRecord]:
         """Run the Algorithm-1 training loop for ``iterations`` rounds.
 
         ``num_envs > 1`` collects each iteration's episodes from that
-        many lock-stepped env replicas with batched policy forwards;
-        ``num_workers > 1`` shards those replicas across rollout worker
-        processes (bitwise-identical streams for any worker count).
+        many lock-stepped env replicas with batched policy forwards.
         ``total_iterations`` anchors schedule progress across a
         checkpoint/resume split (see :meth:`IPPOTrainer.train`).
         """
         return self.trainer.train(iterations, episodes_per_iteration, callback,
                                   num_envs=num_envs,
-                                  total_iterations=total_iterations,
-                                  num_workers=num_workers)
-
-    def close(self) -> None:
-        """Shut down any multi-process rollout workers (no-op otherwise)."""
-        self.trainer.close()
+                                  total_iterations=total_iterations)
 
     def evaluate(self, episodes: int = 1, greedy: bool = True) -> MetricSnapshot:
         """Greedy evaluation; returns averaged metric snapshot."""

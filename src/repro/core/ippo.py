@@ -18,7 +18,6 @@ import numpy as np
 from ..env.airground import AirGroundEnv
 from ..env.metrics import MetricSnapshot
 from ..env.vector import VecAirGroundEnv
-from ..env.workers import WorkerVecEnv
 from ..nn import (
     Adam,
     Categorical,
@@ -284,42 +283,21 @@ class IPPOTrainer:
                 and getattr(self.ugv_policy, "begin_episode", None) is None
                 and hasattr(self.uav_policy, "forward_arrays"))
 
-    def _get_venv(self, num_envs: int, num_workers: int = 1) -> VecAirGroundEnv:
-        """Get-or-rebuild the vec env for a (replicas, workers) choice.
-
-        Rebuilding at the same replica count (resuming with a different
-        ``--workers``, say) transfers the per-replica rng streams across,
-        so the worker-count axis never moves a replica's stream position
-        — ``workers=N`` stays bitwise-equivalent to ``workers=1``.
-        """
-        current = getattr(self._venv, "num_workers", 1)
-        if (self._venv is None or self._venv.num_envs != num_envs
-                or current != num_workers):
-            states = (self._venv.rng_states()
-                      if self._venv is not None
-                      and self._venv.num_envs == num_envs else None)
-            if isinstance(self._venv, WorkerVecEnv):
-                self._venv.close()
-            if num_workers > 1:
-                self._venv = WorkerVecEnv(self.env, num_envs, num_workers)
-            else:
-                self._venv = VecAirGroundEnv.from_env(self.env, num_envs)
-            if states is not None:
-                self._venv.set_rng_states(states)
+    def _get_venv(self, num_envs: int) -> VecAirGroundEnv:
+        """Get-or-rebuild the vec env for a replica count."""
+        if self._venv is None or self._venv.num_envs != num_envs:
+            self._venv = VecAirGroundEnv.from_env(self.env, num_envs)
         return self._venv
 
-    def collect_vec(self, episodes: int, num_envs: int, num_workers: int = 1) -> tuple[
+    def collect_vec(self, episodes: int, num_envs: int) -> tuple[
             VecUGVRollout, VecUAVRollout, MetricSnapshot, float, float]:
         """Vectorized counterpart of :meth:`collect` over K replicas.
 
         Reward telemetry is the total across *all* replicas (K times the
-        sequential per-iteration volume).  ``num_workers > 1`` shards the
-        replicas over that many rollout worker processes
-        (:class:`~repro.env.workers.WorkerVecEnv`); after the window the
-        next reset is prefetched so workers overlap the PPO update.
+        sequential per-iteration volume).
         """
         cfg = self.env.config
-        venv = self._get_venv(num_envs, num_workers)
+        venv = self._get_venv(num_envs)
         horizon = episodes * cfg.episode_len
         ugv_roll = VecUGVRollout(num_envs, horizon, cfg.num_ugvs, self.env.num_stops)
         uav_roll = VecUAVRollout(num_envs, horizon, cfg.num_uavs, cfg.uav_obs_size)
@@ -327,9 +305,6 @@ class IPPOTrainer:
             metrics = run_vec_episodes(venv, self.ugv_policy, self.uav_policy,
                                        self.rng, episodes=episodes,
                                        ugv_rollout=ugv_roll, uav_rollout=uav_roll)
-            prefetch = getattr(venv, "prefetch_reset", None)
-            if prefetch is not None:
-                prefetch()
             total_ugv_reward = float(ugv_roll.rewards.sum())
             with obs_scope("gae"):
                 uav_flat = uav_roll.flat_samples(self.ppo.gamma, self.ppo.gae_lambda)
@@ -686,8 +661,7 @@ class IPPOTrainer:
     # ------------------------------------------------------------------
     def train(self, iterations: int, episodes_per_iteration: int = 1,
               callback=None, num_envs: int = 1,
-              total_iterations: int | None = None,
-              num_workers: int = 1) -> list[TrainRecord]:
+              total_iterations: int | None = None) -> list[TrainRecord]:
         """Run M training iterations (Algorithm 1's outer loop).
 
         With ``num_envs > 1`` (and vectorization-capable policies,
@@ -695,9 +669,7 @@ class IPPOTrainer:
         lock-step with batched policy forwards and array-backed rollouts;
         each iteration then gathers ``num_envs * episodes_per_iteration``
         episodes.  Stateful policies silently fall back to the sequential
-        path.  ``num_workers > 1`` additionally shards those replicas
-        over that many rollout processes (see ``docs/parallelism.md``);
-        the sampled streams are bitwise-identical for every worker count.
+        path.
 
         ``iterations`` counts iterations *to run now*; the trainer's
         persistent counter numbers them globally, so a checkpoint-resumed
@@ -706,9 +678,6 @@ class IPPOTrainer:
         schedule progress — a resumed run must pass the original planned
         total for lr/entropy schedules to anneal identically.
         """
-        if num_workers > num_envs:
-            raise ValueError(f"num_workers={num_workers} cannot exceed "
-                             f"num_envs={num_envs}")
         use_vec = num_envs > 1 and self.supports_vectorized()
         total = (total_iterations if total_iterations is not None
                  else self._iteration + iterations)
@@ -727,7 +696,7 @@ class IPPOTrainer:
                 losses = {}
                 if use_vec:
                     ugv_roll, uav_roll, metrics, ugv_r, uav_r = self.collect_vec(
-                        episodes_per_iteration, num_envs, num_workers)
+                        episodes_per_iteration, num_envs)
                     losses.update(self.update_ugv_vec(ugv_roll))
                     losses.update(self.update_uav_vec(uav_roll))
                 else:
@@ -767,12 +736,8 @@ class IPPOTrainer:
             "env_rng": self.env.rng_state(),
         }
         if self._venv is not None:
-            # ``num_workers`` records how the interrupted run sharded its
-            # replicas (informational — the flat per-replica rng_states
-            # are worker-count invariant, so a resume may repartition).
             state["venv"] = {
                 "num_envs": int(self._venv.num_envs),
-                "num_workers": int(getattr(self._venv, "num_workers", 1)),
                 "rng_states": self._venv.rng_states(),
             }
         return state
@@ -784,6 +749,8 @@ class IPPOTrainer:
         are re-materialised and repositioned so a resumed vectorized run
         continues every replica's stream (including unseeded auto-reset
         continuations) exactly where the interrupted run left it.
+        Keys of ``venv`` other than ``num_envs`` and ``rng_states`` (older
+        snapshots record a rollout worker count) are ignored.
         """
         self._iteration = int(state["iteration"])
         self._entropy_coef = float(state["entropy_coef"])
@@ -793,27 +760,8 @@ class IPPOTrainer:
         self.env.set_rng_state(state["env_rng"])
         venv = state.get("venv")
         if venv:
-            self._venv = self._get_venv(int(venv["num_envs"]),
-                                        int(venv.get("num_workers", 1)))
+            self._venv = self._get_venv(int(venv["num_envs"]))
             self._venv.set_rng_states(venv["rng_states"])
-
-    def close(self) -> None:
-        """Release collect-side resources (multi-process rollout workers).
-
-        No-op for the in-process paths; safe to call repeatedly.  Worker
-        processes are daemons, so this is hygiene rather than a
-        correctness requirement — but an explicit close avoids leaving W
-        idle processes around for the rest of a long driver run.  The
-        replica rng streams migrate into an in-process vec env first, so
-        training can continue after a close without losing determinism.
-        """
-        if isinstance(self._venv, WorkerVecEnv):
-            pool = self._venv
-            states = None if pool._closed else pool.rng_states()
-            pool.close()
-            self._venv = VecAirGroundEnv.from_env(self.env, pool.num_envs)
-            if states is not None:
-                self._venv.set_rng_states(states)
 
     def evaluate(self, episodes: int = 1, greedy: bool = True) -> MetricSnapshot:
         """Average metrics over greedy evaluation episodes."""

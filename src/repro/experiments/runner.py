@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import inspect
-import os
 import time
 import zlib
 from pathlib import Path
@@ -34,13 +33,6 @@ __all__ = ["run_method", "run_training", "build_agent", "build_env",
 # Campus construction is deterministic but not free; cache per (name, scale).
 _CAMPUS_CACHE: dict[tuple[str, float], tuple[CampusMap, StopGraph]] = {}
 
-if hasattr(os, "register_at_fork"):  # not available on all platforms
-    # Rollout workers (repro.env.workers) receive their campus/stop graph
-    # through the worker spec; a forked child must not alias the parent's
-    # cached objects, so the cache is emptied on the child side of every
-    # fork (spawned children start empty by construction).
-    os.register_at_fork(after_in_child=_CAMPUS_CACHE.clear)
-
 
 def get_campus(name: str, scale: float) -> tuple[CampusMap, StopGraph]:
     """Cached campus + stop graph (both are treated as immutable)."""
@@ -48,8 +40,7 @@ def get_campus(name: str, scale: float) -> tuple[CampusMap, StopGraph]:
     if key not in _CAMPUS_CACHE:
         campus = build_campus(name, scale=scale)
         # Deliberate process-local cache of immutable values; listed as a
-        # HOT site in the check-determinism shared-state map — workers
-        # must rebuild it per process, never share it.
+        # HOT site in the check-determinism shared-state map.
         _CAMPUS_CACHE[key] = (campus, build_stop_graph(campus))  # reprolint: disable=DT004
     return _CAMPUS_CACHE[key]
 
@@ -100,7 +91,7 @@ def run_method(method: str, campus_name: str, preset: str | ScalePreset = "smoke
                num_ugvs: int = 4, num_uavs_per_ugv: int = 2, seed: int = 0,
                garl_config: GARLConfig | None = None,
                train_iterations: int | None = None,
-               num_envs: int = 1, num_workers: int = 1) -> ResultRecord:
+               num_envs: int = 1) -> ResultRecord:
     """Train ``method`` on ``campus_name`` at ``preset`` scale and evaluate.
 
     Evaluation samples stochastically (greedy=False): at smoke training
@@ -109,12 +100,9 @@ def run_method(method: str, campus_name: str, preset: str | ScalePreset = "smoke
 
     ``num_envs > 1`` collects training episodes from that many env
     replicas at once (replica k reseeds with ``replica_seed(method_seed,
-    k)``); ``num_workers > 1`` shards those replicas over rollout worker
-    processes (results are bitwise worker-count invariant).  Agents
-    without vectorization support train sequentially.
+    k)``).  Agents without vectorization support train sequentially.
     """
     preset_obj = get_preset(preset) if isinstance(preset, str) else preset
-    _check_workers(num_workers, num_envs)
     with obs_scope("setup"):
         agent = build_agent(method, campus_name, preset_obj, num_ugvs,
                             num_uavs_per_ugv, seed, garl_config)
@@ -125,20 +113,15 @@ def run_method(method: str, campus_name: str, preset: str | ScalePreset = "smoke
     train_kwargs = {}
     if num_envs > 1 and "num_envs" in sig:
         train_kwargs["num_envs"] = num_envs
-    if num_workers > 1 and "num_workers" in sig:
-        train_kwargs["num_workers"] = num_workers
     t_train = time.perf_counter()
-    try:
-        with obs_scope("train"):
-            agent.train(iterations, preset_obj.episodes_per_iteration,
-                        **train_kwargs)
-        train_seconds = time.perf_counter() - t_train
+    with obs_scope("train"):
+        agent.train(iterations, preset_obj.episodes_per_iteration,
+                    **train_kwargs)
+    train_seconds = time.perf_counter() - t_train
 
-        t_eval = time.perf_counter()
-        snapshot = agent.evaluate(episodes=preset_obj.eval_episodes, greedy=False)
-        eval_seconds = time.perf_counter() - t_eval
-    finally:
-        _close_agent(agent)
+    t_eval = time.perf_counter()
+    snapshot = agent.evaluate(episodes=preset_obj.eval_episodes, greedy=False)
+    eval_seconds = time.perf_counter() - t_eval
 
     return ResultRecord(
         method=method, campus=campus_name,
@@ -148,28 +131,11 @@ def run_method(method: str, campus_name: str, preset: str | ScalePreset = "smoke
                "eval_seconds": round(eval_seconds, 3)})
 
 
-def _check_workers(num_workers: int, num_envs: int) -> None:
-    """Fail fast on an unsatisfiable worker/replica combination."""
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if num_workers > max(1, num_envs):
-        raise ValueError(f"num_workers={num_workers} needs at least as many "
-                         f"env replicas, got num_envs={num_envs}")
-
-
-def _close_agent(agent) -> None:
-    """Release an agent's rollout workers, if it holds any."""
-    close = getattr(agent, "close", None)
-    if close is not None:
-        close()
-
-
 def run_training(method: str, campus_name: str,
                  preset: str | ScalePreset = "smoke",
                  num_ugvs: int = 4, num_uavs_per_ugv: int = 2, seed: int = 0,
                  garl_config: GARLConfig | None = None,
                  train_iterations: int | None = None, num_envs: int = 1,
-                 num_workers: int = 1,
                  checkpoint_dir: str | Path | None = None,
                  save_every: int = 10, keep_last: int = 3,
                  resume: str | Path | None = None,
@@ -195,18 +161,10 @@ def run_training(method: str, campus_name: str,
       propagates (the CLI turns it into exit code
       :data:`~repro.experiments.checkpoint.RESUME_EXIT_CODE`).
 
-    ``num_workers > 1`` shards the ``num_envs`` replicas over that many
-    rollout worker processes.  The worker count is deliberately *not*
-    part of the config fingerprint: collection is bitwise identical for
-    every worker count, so a ``--workers 1`` checkpoint may resume with
-    ``--workers 4`` (and vice versa) without breaking the byte-for-byte
-    resume guarantee.
-
     Returns ``(record, agent)`` so callers can persist or further
     inspect the trained agent without retraining.
     """
     preset_obj = get_preset(preset) if isinstance(preset, str) else preset
-    _check_workers(num_workers, num_envs)
     # Resolve the per-method seeded config here too: the checkpoint
     # fingerprint below must hash exactly what the agent was built with.
     config = (garl_config
@@ -249,8 +207,6 @@ def run_training(method: str, campus_name: str,
     train_kwargs = {}
     if num_envs > 1 and "num_envs" in sig:
         train_kwargs["num_envs"] = num_envs
-    if num_workers > 1 and "num_workers" in sig:
-        train_kwargs["num_workers"] = num_workers
     if "total_iterations" in sig:
         train_kwargs["total_iterations"] = total
 
@@ -273,7 +229,7 @@ def run_training(method: str, campus_name: str,
                             "preset": preset_obj.name, "seed": seed,
                             "num_ugvs": num_ugvs,
                             "num_uavs_per_ugv": num_uavs_per_ugv,
-                            "num_envs": num_envs, "num_workers": num_workers},
+                            "num_envs": num_envs},
             telemetry=telemetry, interrupt=interrupt,
             extra_state=_obs_extra_state)
 
@@ -286,23 +242,17 @@ def run_training(method: str, campus_name: str,
     from contextlib import nullcontext
 
     t_train = time.perf_counter()
-    try:
-        with (interrupt if interrupt is not None else nullcontext()), \
-                obs_scope("train"):
-            agent.train(total - iterations_done,
-                        preset_obj.episodes_per_iteration,
-                        callback=callback if "callback" in sig else None,
-                        **train_kwargs)
-        train_seconds = time.perf_counter() - t_train
+    with (interrupt if interrupt is not None else nullcontext()), \
+            obs_scope("train"):
+        agent.train(total - iterations_done,
+                    preset_obj.episodes_per_iteration,
+                    callback=callback if "callback" in sig else None,
+                    **train_kwargs)
+    train_seconds = time.perf_counter() - t_train
 
-        t_eval = time.perf_counter()
-        snapshot = agent.evaluate(episodes=preset_obj.eval_episodes, greedy=False)
-        eval_seconds = time.perf_counter() - t_eval
-    finally:
-        # Tear rollout workers down on every exit (including the
-        # interrupt path): the replica rng streams migrate into an
-        # in-process vec env, so the returned agent stays usable.
-        _close_agent(agent)
+    t_eval = time.perf_counter()
+    snapshot = agent.evaluate(episodes=preset_obj.eval_episodes, greedy=False)
+    eval_seconds = time.perf_counter() - t_eval
 
     record = ResultRecord(
         method=method, campus=campus_name,

@@ -54,7 +54,6 @@ from .compile import (
     CompiledStep,
     CompileError,
     StepResult,
-    clear_plan_caches,
     compile_step,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "CompiledPlan",
     "CompiledStep",
     "StepResult",
-    "clear_plan_caches",
     "compile_step",
     "Module",
     "Parameter",

@@ -53,9 +53,7 @@ still runs and reports each executed segment via ``record_fused``.
 
 from __future__ import annotations
 
-import os
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,31 +64,7 @@ from .functional import _col2im, _im2col
 from .tensor import Tensor, _unbroadcast
 
 __all__ = ["CompileError", "CompiledPlan", "CompiledStep", "StepResult",
-           "clear_plan_caches", "compile_step"]
-
-# Every live CompiledStep, tracked weakly so plan caches can be cleared
-# process-wide (rollout workers must not inherit the parent's plans:
-# arena buffers alias large arrays and replay counters would lie).  The
-# weak registry holds no instance alive; mutation sites are guarded by
-# the register_at_fork hook below (audited by determinism rule DT004).
-_COMPILED_STEPS: "weakref.WeakSet[CompiledStep]" = weakref.WeakSet()
-
-
-def clear_plan_caches() -> None:
-    """Drop every cached :class:`CompiledPlan` in this process.
-
-    Each registered :class:`CompiledStep` falls back to capture-on-next-
-    call, exactly as if it had never compiled.  Called automatically in
-    forked children (workers re-capture locally if they ever compile)
-    and usable from tests to get a cold-cache state.
-    """
-    for step in list(_COMPILED_STEPS):
-        step.plans.clear()
-
-
-if hasattr(os, "register_at_fork"):  # not available on all platforms
-    os.register_at_fork(after_in_child=clear_plan_caches)
-
+           "compile_step"]
 
 class CompileError(RuntimeError):
     """A traced step cannot be lowered to a replayable plan."""
@@ -914,7 +888,6 @@ class CompiledStep:
         self.calls = 0
         self.eager_calls = 0
         self.replay_calls = 0
-        _COMPILED_STEPS.add(self)
 
     def __call__(self, *arrays) -> StepResult:
         self.calls += 1

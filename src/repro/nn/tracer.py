@@ -36,7 +36,6 @@ Usage::
 
 from __future__ import annotations
 
-import os as _os
 import sys
 import traceback
 from typing import Iterator, Sequence
@@ -48,20 +47,6 @@ __all__ = ["TapeRecord", "trace", "is_tracing", "active_trace"]
 # disabled path a single LOAD_GLOBAL + POP_JUMP.
 _ACTIVE: "trace | None" = None
 
-
-def _reset_in_child() -> None:
-    """Drop any inherited live trace in a forked child process.
-
-    A rollout worker forked while the parent traced would otherwise
-    append its ops to a tape nobody reads (and pay per-op recording
-    cost).  Children always start with tracing off.
-    """
-    global _ACTIVE
-    _ACTIVE = None
-
-
-if hasattr(_os, "register_at_fork"):  # not available on all platforms
-    _os.register_at_fork(after_in_child=_reset_in_child)
 
 # Engine-internal files skipped when attributing an op to user code
 # (mirrors repro.nn.anomaly._ENGINE_FILES).

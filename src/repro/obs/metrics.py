@@ -157,17 +157,6 @@ class MetricsRegistry:
                 name, bounds if bounds is not None else DEFAULT_BUCKETS)
         return h
 
-    def clear(self) -> None:
-        """Drop every registered instrument (names and values).
-
-        The fork/spawn-safety reset: a rollout worker bootstrapping from
-        an inherited registry clears it so per-process metrics start
-        empty instead of double-counting the parent's history.
-        """
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
     # -- introspection --------------------------------------------------
     @property
     def counters(self) -> dict[str, Counter]:

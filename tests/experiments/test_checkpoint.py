@@ -2,7 +2,9 @@
 
 import json
 import os
+import shutil
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +283,40 @@ def test_graceful_interrupt_catches_real_sigterm():
 
 def test_resume_exit_code_is_ex_tempfail():
     assert RESUME_EXIT_CODE == 75
+
+
+# ----------------------------------------------------------------------
+# Checkpoints written by older builds
+# ----------------------------------------------------------------------
+
+# A smoke run (2 UGVs x 1 UAV, seed 0, --num-envs 4) interrupted after its
+# first iteration by a build that still had the multi-process rollout
+# pool, run with two workers: its manifest and trainer ``venv`` state
+# both carry ``"num_workers": 2``.
+WORKERS2_RUN = Path(__file__).parent / "data" / "workers2_k4_run"
+
+
+def test_worker_pool_checkpoint_resumes_in_process_and_exports(tmp_path):
+    from repro.cli import main
+    from repro.experiments import get_preset, run_training
+
+    manifest = read_manifest(WORKERS2_RUN / "iter_000001")
+    assert manifest["num_workers"] == 2
+    assert manifest["state"]["trainer"]["venv"]["num_workers"] == 2
+
+    run_dir = tmp_path / "run"
+    shutil.copytree(WORKERS2_RUN, run_dir)
+    assert main(["export", str(run_dir), "--out",
+                 str(tmp_path / "artifact")]) == 0
+
+    kwargs = dict(num_envs=4, save_every=1, num_ugvs=2, num_uavs_per_ugv=1,
+                  seed=0)
+    smoke = get_preset("smoke")
+    control, _ = run_training("garl", "kaist", smoke,
+                              checkpoint_dir=tmp_path / "control", **kwargs)
+    resumed, _ = run_training("garl", "kaist", smoke, checkpoint_dir=run_dir,
+                              resume="latest", **kwargs)
+    assert resumed.extra["resumed_from_iteration"] == 1
+    assert ((run_dir / "train.jsonl").read_bytes()
+            == (tmp_path / "control" / "train.jsonl").read_bytes())
+    assert resumed.metrics == control.metrics
